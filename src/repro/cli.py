@@ -188,9 +188,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.harness.bench import render_bench, run_bench
 
     report = run_bench(quick=args.quick, seed=args.seed,
-                       min_speedup=args.min_speedup, shards=args.shards,
+                       min_speedup=args.min_speedup,
                        vm_min_speedup=args.vm_min_speedup,
-                       proc_min_speedup=args.proc_min_speedup,
                        serve_min_speedup=args.serve_min_speedup)
     print(render_bench(report))
     if args.out != "-":
@@ -249,20 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["object", "packed"],
             help="runtime event encoding (default: packed for CARMOT "
                  "builds, object — the differential oracle — otherwise)",
-        )
-        p.add_argument(
-            "--pipeline-shards", type=int, default=None, metavar="N",
-            help="fold packed batches on N shards keyed by object id "
-                 "(0/1 = the deterministic single-threaded drain)",
-        )
-        p.add_argument(
-            "--drain", default=None,
-            choices=["inproc", "threads", "procs"],
-            help="packed-batch drain: in-process flat fold, shard threads, "
-                 "or supervised worker processes over shared-memory rings "
-                 "with crash recovery (implies --event-encoding packed; "
-                 "combine with --fault-plan 'exit@N' and --budget "
-                 "'retries=...' to exercise worker-kill replay)",
         )
         p.add_argument(
             "--vm", default="bytecode", choices=["bytecode", "ir"],
@@ -435,19 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
                "vm_dispatch leg — the tier-2 bytecode engine vs the IR "
                "tree-walk oracle, with byte-identical PSEC digests "
                "required and fused_sites/quickened_ops/dequicken_count "
-               "reported on the vm_tier2 line; --proc-min-speedup covers "
-               "the packed_procs drain leg (report-only by default); "
+               "reported on the vm_tier2 line; "
                "--serve-min-speedup gates warm vs cold sustained req/s "
                "through the serve daemon, with response digests required "
-               "identical to the in-process service core. "
-               "Every stream leg of the JSON report embeds its drain "
-               "meta (workers, batches, respawns, replays).",
+               "identical to the in-process service core.",
     )
     bench.add_argument("--quick", action="store_true",
                        help="smaller streams and one workload (CI smoke)")
     bench.add_argument("--seed", type=int, default=1234)
-    bench.add_argument("--shards", type=int, default=2,
-                       help="shard count for the packed_sharded leg")
     bench.add_argument("--min-speedup", type=float, default=3.0,
                        metavar="X",
                        help="fail unless the best packed-vs-object stream "
@@ -459,13 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(with byte-identical PSEC digests); default "
                             "3.5 — pass a lower floor on noisy shared "
                             "runners")
-    bench.add_argument("--proc-min-speedup", type=float, default=0.0,
-                       metavar="X",
-                       help="fail unless the packed_procs leg beats the "
-                            "in-process fold by X (0 = report-only; the "
-                            "gate is skipped automatically on single-core "
-                            "hosts — digest equality and crash recovery "
-                            "are always enforced)")
     bench.add_argument("--serve-min-speedup", type=float, default=3.0,
                        metavar="X",
                        help="fail unless warm daemon requests sustain X "

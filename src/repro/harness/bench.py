@@ -38,7 +38,6 @@ from repro.ir.instructions import SourceLoc, VarInfo
 from repro.ir.module import Module
 from repro.lang import types as ct
 from repro.lang.tokens import SourcePos
-from repro.resilience import FaultPlan, ResiliencePolicy
 from repro.runtime.config import RuntimeConfig, policy_for
 from repro.runtime.engine import CarmotRuntime
 from repro.runtime.events import AccessEvent
@@ -144,34 +143,14 @@ def _make_stream(
     return ops[:n_events], vars_by_obj, locs, callstacks
 
 
-def _stream_runtime(encoding: str, batch_size: int, shards: int = 0,
-                    drain: str = "auto", fault_plan: Optional[str] = None,
-                    resilience: Optional[ResiliencePolicy] = None,
-                    ) -> CarmotRuntime:
+def _stream_runtime(encoding: str, batch_size: int) -> CarmotRuntime:
     return CarmotRuntime(_bench_module(), RuntimeConfig(
         policy=policy_for("parallel_for"),
         shadow_callstacks=True,
         inline_processing=False,
         batch_size=batch_size,
         event_encoding=encoding,
-        pipeline_shards=shards if encoding == "packed" else 0,
-        drain=drain if encoding == "packed" else "auto",
-        fault_plan=FaultPlan.parse(fault_plan) if fault_plan else None,
-        resilience=resilience or ResiliencePolicy(),
     ))
-
-
-def _drain_meta(runtime: CarmotRuntime) -> Dict[str, object]:
-    """Per-leg drain counters (satellite of the process-drain work): which
-    drain folded the batches, whether the run needed fail-soft
-    intervention, and how much crash-recovery traffic it absorbed."""
-    stats = runtime.drain_stats
-    return {
-        "mode": stats["mode"],
-        "degraded": runtime.degradation.degraded,
-        "replays": stats["replays"],
-        "worker_respawns": stats["worker_respawns"],
-    }
 
 
 def _resolve_ops(ops, vars_by_obj, locs, callstacks,
@@ -246,17 +225,12 @@ def _digest(runtime: CarmotRuntime) -> str:
 
 def _measure_stream(encoding: str, ops, vars_by_obj, locs, callstacks,
                     batch_size: int, invocation_len: int, repeats: int,
-                    shards: int = 0, drain: str = "auto",
-                    fault_plan: Optional[str] = None,
-                    resilience: Optional[ResiliencePolicy] = None,
                     ) -> Dict[str, object]:
     replay = _replay_packed if encoding == "packed" else _replay_object
     best = None
     digest = None
-    drain_meta = None
     for _ in range(repeats):
-        runtime = _stream_runtime(encoding, batch_size, shards, drain,
-                                  fault_plan, resilience)
+        runtime = _stream_runtime(encoding, batch_size)
         resolved = _resolve_ops(
             ops, vars_by_obj, locs, callstacks,
             runtime if encoding == "packed" else None,
@@ -266,61 +240,12 @@ def _measure_stream(encoding: str, ops, vars_by_obj, locs, callstacks,
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
         digest = _digest(runtime)
-        drain_meta = _drain_meta(runtime)
     n = len(ops)
     return {
         "elapsed_s": round(best, 6),
         "events_per_sec": round(n / best, 1),
         "ns_per_event": round(best * 1e9 / n, 1),
         "digest": digest,
-        "drain": drain_meta,
-    }
-
-
-def _measure_proc_recovery(seed: int, batch_size: int,
-                           invocation_len: int) -> Dict[str, object]:
-    """Crash-recovery leg: the process drain under a worker-kill plan.
-
-    A small seeded stream runs once in-process (the oracle digest) and
-    once under ``--drain procs`` with a fault plan that SIGKILLs a shard
-    worker at two planned batches.  Recovery must be *exact*: the PSEC
-    digest matches the oracle byte for byte, the degradation report stays
-    empty (recovered respawns are not degradation), and the supervisor
-    actually exercised the respawn/replay path.
-    """
-    ops, vars_by_obj, locs, callstacks = _make_stream(
-        seed, 8_000, "mixed_loop"
-    )
-    oracle = _measure_stream(
-        "packed", ops, vars_by_obj, locs, callstacks,
-        batch_size, invocation_len, repeats=1, drain="inproc",
-    )
-    plan = f"seed={seed};exit@1;exit@3"
-    start = time.perf_counter()
-    runtime = _stream_runtime(
-        "packed", batch_size, shards=2, drain="procs", fault_plan=plan,
-        resilience=ResiliencePolicy(max_retries=3),
-    )
-    resolved = _resolve_ops(ops, vars_by_obj, locs, callstacks, runtime)
-    _replay_packed(runtime, resolved, invocation_len)
-    wall = time.perf_counter() - start
-    digest = _digest(runtime)
-    meta = _drain_meta(runtime)
-    return {
-        "n_events": len(ops),
-        "batch_size": batch_size,
-        "fault_plan": plan,
-        "wall_s": round(wall, 4),
-        "digest": digest,
-        "oracle_digest": oracle["digest"],
-        "digest_identical": digest == oracle["digest"],
-        "report_empty": not runtime.degradation.degraded,
-        "drain": meta,
-        "recovered": bool(
-            digest == oracle["digest"]
-            and not runtime.degradation.degraded
-            and meta["worker_respawns"] >= 1
-        ),
     }
 
 
@@ -359,7 +284,6 @@ def _measure_workload(workload) -> List[Dict[str, object]]:
                 "overhead_x": round(result.cost / base.cost, 2),
                 "wall_s": round(wall, 4), "events": events,
                 "events_per_sec": round(events / wall, 1) if wall else None,
-                "drain": _drain_meta(runtime),
             })
     return rows
 
@@ -572,12 +496,10 @@ def _measure_vm_dispatch(quick: bool, repeats: int) -> Dict[str, object]:
     dequicken_count = dequicken_module(bc)
 
     digests = {}
-    drain_meta = None
     for vm in ("ir", "bytecode"):
         carmot = compile_carmot(_VM_ROI_SOURCE, name="vm_roi")
         _, runtime = carmot.run(vm=vm)
         digests[vm] = _digest(runtime)
-        drain_meta = _drain_meta(runtime)
     psec_identical = digests["ir"] == digests["bytecode"]
 
     from repro.session import Session
@@ -608,7 +530,6 @@ def _measure_vm_dispatch(quick: bool, repeats: int) -> Dict[str, object]:
         "codegen_warm_hit": codegen_warm_hit,
         "stages_cold": cold.stages,
         "stages_warm": warm.stages,
-        "drain": drain_meta,
     }
 
 
@@ -848,9 +769,7 @@ def run_bench(
     quick: bool = False,
     seed: int = 1234,
     min_speedup: float = 3.0,
-    shards: int = 2,
     vm_min_speedup: float = 3.5,
-    proc_min_speedup: float = 0.0,
     serve_min_speedup: float = 3.0,
 ) -> Dict[str, object]:
     """Run both families and return the ``BENCH_runtime.json`` payload."""
@@ -872,17 +791,6 @@ def run_bench(
                 encoding, ops, vars_by_obj, locs, callstacks,
                 batch_size, invocation_len, repeats,
             )
-        encodings["packed_sharded"] = _measure_stream(
-            "packed", ops, vars_by_obj, locs, callstacks,
-            batch_size, invocation_len, repeats, shards=shards,
-        )
-        # The process drain forks a worker pool per runtime, so min-of-2
-        # is enough; the digest gate (not the timing) is the hard check.
-        encodings["packed_procs"] = _measure_stream(
-            "packed", ops, vars_by_obj, locs, callstacks,
-            batch_size, invocation_len, min(repeats, 2), shards=shards,
-            drain="procs",
-        )
         digests = {e["digest"] for e in encodings.values()}
         streams[shape] = {
             "n_events": n_events,
@@ -892,10 +800,6 @@ def run_bench(
             "speedup_packed_vs_object": round(
                 encodings["packed"]["events_per_sec"]
                 / encodings["object"]["events_per_sec"], 2
-            ),
-            "speedup_procs_vs_inproc": round(
-                encodings["packed_procs"]["events_per_sec"]
-                / encodings["packed"]["events_per_sec"], 2
             ),
             "digests_match": len(digests) == 1,
         }
@@ -941,27 +845,6 @@ def run_bench(
         for row in prescreen_rows
     )
 
-    recovery_row = _measure_proc_recovery(seed, batch_size=256,
-                                          invocation_len=invocation_len)
-    procs_digest_equal = all(
-        s["encodings"]["packed_procs"]["digest"]
-        == s["encodings"]["packed"]["digest"]
-        for s in streams.values()
-    )
-    procs_speedup = max(
-        s["speedup_procs_vs_inproc"] for s in streams.values()
-    )
-    # Timing is only meaningful with real parallelism: the speedup gate
-    # applies when asked for (proc_min_speedup > 0) AND the host has a
-    # second core; single-core hosts report the ratio but never fail on
-    # it (the digest and recovery gates always apply).
-    procs_speedup_gated = proc_min_speedup > 0 and (os.cpu_count() or 1) >= 2
-    procs_ok = bool(
-        procs_digest_equal
-        and recovery_row["recovered"]
-        and (not procs_speedup_gated or procs_speedup >= proc_min_speedup)
-    )
-
     serve_row = _measure_serve()
     serve_ok = bool(
         serve_row["digest_identical"]
@@ -997,12 +880,6 @@ def run_bench(
         "vm_psec_digest_identical": vm_row["psec_digest_identical"],
         "vm_codegen_warm_hit": vm_row["codegen_warm_hit"],
         "vm_ok": vm_ok,
-        "proc_min_speedup": proc_min_speedup,
-        "procs_speedup": procs_speedup,
-        "procs_speedup_gated": procs_speedup_gated,
-        "procs_digest_equal": procs_digest_equal,
-        "procs_recovery_ok": recovery_row["recovered"],
-        "procs_ok": procs_ok,
         "prescreen_eliminated_pct": {
             row["subject"]: row["events_eliminated_pct"]
             for row in prescreen_rows
@@ -1022,7 +899,7 @@ def run_bench(
         "recommend_ok": recommend_ok,
         "passed": bool(
             digests_match and best_speedup >= min_speedup and cache_ok
-            and vm_ok and procs_ok and prescreen_ok and serve_ok
+            and vm_ok and prescreen_ok and serve_ok
             and recommend_ok
         ),
     }
@@ -1031,7 +908,6 @@ def run_bench(
             "seed": seed,
             "quick": quick,
             "python": platform.python_version(),
-            "shards": shards,
             "cpus": os.cpu_count() or 1,
             "version": __version__,
         },
@@ -1040,7 +916,6 @@ def run_bench(
         "cache": cache_rows,
         "vm_dispatch": vm_row,
         "prescreen": prescreen_rows,
-        "proc_recovery": recovery_row,
         "serve": serve_row,
         "recommend": recommend_row,
         "checks": checks,
@@ -1134,17 +1009,6 @@ def render_bench(report: Dict[str, object]) -> str:
             f"{r['events_eliminated_pct']:.1f}% of access events "
             f"(digests {'match' if r['digest_identical'] else 'DIVERGE'})"
         )
-    rec = report["proc_recovery"]
-    lines.append("")
-    lines.append(
-        f"proc_recovery: {rec['fault_plan']!r} over {rec['n_events']:,} "
-        f"events -> digest "
-        f"{'identical' if rec['digest_identical'] else 'DIVERGED'}, "
-        f"report {'empty' if rec['report_empty'] else 'NON-EMPTY'}, "
-        f"{rec['drain']['worker_respawns']} respawn(s), "
-        f"{rec['drain']['replays']} replay(s) "
-        f"({'recovered' if rec['recovered'] else 'FAILED'})"
-    )
     srv = report["serve"]
     lines.append("")
     lines.append(
@@ -1178,11 +1042,7 @@ def render_bench(report: Dict[str, object]) -> str:
         f"cache_payload_identical={checks['cache_payload_identical']}, "
         f"vm {checks['vm_speedup']:.2f}x >= "
         f"{checks['vm_min_speedup']:.2f}x bytecode/tree-walk, "
-        f"procs digest_equal={checks['procs_digest_equal']} "
-        f"recovery={checks['procs_recovery_ok']} "
-        f"speedup {checks['procs_speedup']:.2f}x"
-        f"{' (gated)' if checks['procs_speedup_gated'] else ' (report-only)'}"
-        f", prescreen_ok={checks['prescreen_ok']}, "
+        f"prescreen_ok={checks['prescreen_ok']}, "
         f"serve {checks['serve_speedup']:.2f}x >= "
         f"{checks['serve_min_speedup']:.2f}x warm/cold req/s "
         f"with digest_identical={checks['serve_digest_identical']}, "

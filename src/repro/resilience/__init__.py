@@ -16,7 +16,6 @@ from repro.resilience.degradation import (
     ACTION_CLASSIFY_ONLY,
     ACTION_CONSERVATIVE,
     ACTION_DELAYED,
-    ACTION_FALLBACK,
     ACTION_RETRIED,
     CONSERVATIVE_READ,
     CONSERVATIVE_WRITE,
@@ -32,7 +31,7 @@ from repro.resilience.faultinject import (
 
 __all__ = [
     "ACTION_CLASSIFY_ONLY", "ACTION_CONSERVATIVE", "ACTION_DELAYED",
-    "ACTION_FALLBACK", "ACTION_RETRIED",
+    "ACTION_RETRIED",
     "CONSERVATIVE_READ", "CONSERVATIVE_WRITE",
     "BudgetSpec", "DegradationRecord", "DegradationReport",
     "ExecutionBudgets", "FaultInjector", "FaultKind", "FaultPlan",

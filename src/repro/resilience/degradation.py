@@ -30,17 +30,10 @@ ACTION_RETRIED = "retried"
 ACTION_CONSERVATIVE = "conservative-fallback"
 ACTION_CLASSIFY_ONLY = "classify-only"
 ACTION_DELAYED = "delayed"
-#: The multi-process drain lost a shard worker past its retry budget (or
-#: could not spawn the pool) and the master absorbed the shard into the
-#: in-process flat fold.  The fold is exact — Sets stay complete — but
-#: the run needed intervention and says so.
-ACTION_FALLBACK = "inproc-fallback"
 
 #: Conservative set letters applied when an access event is lost or its
 #: ROI is over budget: a read forces Input; a write forces Output plus
-#: Transfer (never Cloneable — the §4.2 merge direction).  Shared by the
-#: in-process engine and the multi-process drain workers, which must
-#: degrade byte-identically.
+#: Transfer (never Cloneable — the §4.2 merge direction).
 CONSERVATIVE_READ = "I"
 CONSERVATIVE_WRITE = "OT"
 

@@ -16,12 +16,9 @@ Plans are built programmatically or parsed from the compact CLI syntax::
 ``crash@3`` injects a worker crash when batch #3 is first processed;
 ``slow@7:250`` charges 250 virtual time units of extra latency to batch
 #7; ``rate=0.01`` additionally crashes ~1% of batches, chosen by a
-seed+sequence hash.  ``exit@4`` is the process-level fault consumed by
-the multi-process drain (``--drain procs``): the shard worker that owns
-batch #4 kills itself with SIGKILL and the supervisor must respawn it
-and replay the unacknowledged batches (``exit@4!`` persists across
-replays, exhausting the retry budget).  Unknown kind names are rejected
-with a :class:`repro.errors.RuntimeToolError` listing the valid kinds.
+seed+sequence hash; a trailing ``!`` (``crash@3!``) makes the crash
+fire on every retry.  Unknown kind names are rejected with a
+:class:`repro.errors.RuntimeToolError` listing the valid kinds.
 """
 
 from __future__ import annotations
@@ -40,11 +37,6 @@ class FaultKind(enum.Enum):
     BATCH_DROP = "drop"           # batch is lost before processing
     SLOW_BATCH = "slow"           # batch incurs extra virtual latency
     MEMORY_PRESSURE = "mempressure"  # batch is shed as if memory ran out
-    #: Process-level fault for the ``--drain procs`` supervisor: the shard
-    #: worker assigned ``seq % n_workers`` SIGKILLs itself when it dequeues
-    #: batch ``seq`` (``persist`` makes it die again on every replay).
-    #: Thread/in-process drains have no process to kill and ignore it.
-    WORKER_EXIT = "exit"
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in FaultKind}
@@ -194,17 +186,6 @@ class FaultInjector:
                 self.faults_fired += 1
                 total += spec.delay
         return total
-
-    def exit_specs(self) -> Dict[int, bool]:
-        """``{batch_seq: persist}`` for the process-level WORKER_EXIT
-        faults — consumed by the multi-process drain supervisor, which
-        forwards the map to its workers (the kill happens worker-side so
-        the master's bookkeeping is genuinely exercised)."""
-        return {
-            spec.seq: spec.persist
-            for spec in self.plan.specs
-            if spec.kind is FaultKind.WORKER_EXIT
-        }
 
     def fire(self, seq: int, attempt: int) -> None:
         """Raise :class:`FaultInjected` if a crash targets this attempt."""

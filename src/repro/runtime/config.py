@@ -119,34 +119,10 @@ class RuntimeConfig:
     #: (struct-of-arrays blocks of interned integer columns, consumed by a
     #: flat-table FSA kernel).  Both produce byte-identical PSECs.
     event_encoding: str = "object"
-    #: With the packed encoding, fold each batch's access/classify rows on
-    #: this many shard worker threads, partitioned by ``obj_id % shards``
-    #: (FSA states are per-PSE, so shards are independent).  0/1 keeps the
-    #: fold on the drain thread (deterministic default).
-    pipeline_shards: int = 0
-    #: Which drain folds packed batches: ``"auto"`` (threads iff
-    #: ``pipeline_shards > 1``, else in-process — the historical
-    #: behaviour), ``"inproc"``, ``"threads"``, or ``"procs"`` (supervised
-    #: worker processes over shared-memory rings with crash recovery; see
-    #: DESIGN.md §13).  All four produce byte-identical PSECs.
-    drain: str = "auto"
 
     def __post_init__(self) -> None:
         if self.event_encoding not in ("object", "packed"):
             raise ValueError(
                 f"unknown event encoding {self.event_encoding!r} "
                 "(expected 'object' or 'packed')"
-            )
-        if self.pipeline_shards < 0:
-            raise ValueError("pipeline_shards must be >= 0")
-        if self.drain not in ("auto", "inproc", "threads", "procs"):
-            raise ValueError(
-                f"unknown drain mode {self.drain!r} "
-                "(expected 'auto', 'inproc', 'threads', or 'procs')"
-            )
-        if self.drain in ("threads", "procs") \
-                and self.event_encoding != "packed":
-            raise ValueError(
-                f"drain mode {self.drain!r} folds packed batches and "
-                "requires event_encoding='packed'"
             )

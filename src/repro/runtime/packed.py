@@ -88,32 +88,6 @@ class PackedBlock:
         return tuple(self.data[base:base + ROW_STRIDE])
 
 
-def partition_rows(data: array, n_shards: int) -> Tuple[List[array], List[int]]:
-    """Split a block's rows into per-shard payloads plus master-only rows.
-
-    Access and classify rows (``kind <= KIND_CLASSIFY``) partition by
-    ``obj_id % n_shards`` — every PSE key contains the object id, so the
-    per-shard row sets touch disjoint PSE entries and fold without locks.
-    Alloc/escape/free rows mutate the master-side ASMT/reachability tables
-    and are returned as a list of row base offsets into ``data`` for the
-    master to fold in order.
-
-    Used by both drains: the thread pool folds the shard arrays in-process,
-    the process drain ships them over shared memory (``array('q')`` payloads
-    are ``tobytes``-able without pickling rows).
-    """
-    shards = [array("q") for _ in range(n_shards)]
-    other: List[int] = []
-    for base in range(0, len(data), ROW_STRIDE):
-        if data[base] <= KIND_CLASSIFY:
-            shards[data[base + F_OBJ] % n_shards].extend(
-                data[base:base + ROW_STRIDE]
-            )
-        else:
-            other.append(base)
-    return shards, other
-
-
 class InternTable:
     """Value → dense id, with the reverse list exposed for O(1) decode."""
 

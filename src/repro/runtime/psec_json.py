@@ -154,11 +154,10 @@ def _enc_psec(psec: Psec, vars_table: _VarTable) -> Dict:
         "roi_name": psec.roi_name,
         "abstraction": psec.abstraction,
         "invocations": psec.invocations,
-        # Sorted by (first_time, key), not insertion order: the
-        # single-threaded drain inserts entries in exactly this order
-        # anyway, but the sharded fold builds ``entries`` from several
-        # worker threads, whose dict-insertion interleaving is not
-        # deterministic.  Sorting makes the artifact canonical for both.
+        # Sorted by (first_time, key), not insertion order: the fold
+        # inserts entries in exactly this order anyway, but the sort
+        # keeps the artifact canonical independent of how ``entries``
+        # was built.
         "entries": [
             _enc_entry(entry, vars_table)
             for entry in sorted(

@@ -6,7 +6,7 @@ daemon, in-process embedding — speaks the same four request kinds plus
 which absorbs the option-resolution logic the CLI used to duplicate
 across ``_run_kwargs``/``_carmot_options``/``_profiling_pipeline``/
 ``_session_for``: translating the flat flag surface (budget spec, fault
-plan, drain, engine, prescreen mode, pass pipeline) into the
+plan, engine, prescreen mode, pass pipeline) into the
 ``Session``/``CompiledProgram.run`` keyword arguments.
 
 Requests round-trip through canonical JSON documents (``to_doc`` /
@@ -24,14 +24,15 @@ from repro.compiler import PRESCREEN_MODES, CarmotOptions
 from repro.errors import ReproError
 from repro.passes.registry import parse_pipeline
 from repro.resilience import FaultPlan, parse_budget_spec
+from repro.runtime.config import POLICIES
 
 #: Request kinds the service core executes (``stats``/``ping``/
 #: ``shutdown`` are daemon control frames, not service requests).
 REQUEST_KINDS = ("recommend", "psec", "overhead", "ir", "dis")
 
-_DRAINS = ("inproc", "threads", "procs")
 _VMS = ("bytecode", "ir")
 _ENCODINGS = ("object", "packed")
+_BOOL_FIELDS = ("trace", "no_cache", "print_pass_stats")
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,6 @@ class RunOptions:
     fault_plan: Optional[str] = None
     batch_size: Optional[int] = None
     event_encoding: Optional[str] = None
-    pipeline_shards: Optional[int] = None
-    drain: Optional[str] = None
     vm: str = "bytecode"
     prescreen: str = "off"
     passes: Optional[str] = None
@@ -62,16 +61,39 @@ class RunOptions:
     print_pass_stats: bool = False
 
     def __post_init__(self) -> None:
+        # Wire documents arrive untyped: check each field's JSON type
+        # before any value check, so a malformed option is a ReproError
+        # (the canonical error envelope), never a crash further in.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.name in _BOOL_FIELDS:
+                if not isinstance(value, bool):
+                    raise ReproError(
+                        f"{spec.name} must be a boolean, got {value!r}"
+                    )
+            elif spec.name == "batch_size":
+                if value is not None and (
+                        isinstance(value, bool) or not isinstance(value, int)
+                        or value < 1):
+                    raise ReproError(
+                        f"batch_size must be an integer >= 1, got {value!r}"
+                    )
+            elif not (isinstance(value, str)
+                      or (value is None and spec.default is None)):
+                raise ReproError(
+                    f"{spec.name} must be a string, got {value!r}"
+                )
+        if self.abstraction is not None and self.abstraction not in POLICIES:
+            raise ReproError(
+                f"abstraction must be one of {tuple(POLICIES)}, "
+                f"got {self.abstraction!r}"
+            )
         if self.vm not in _VMS:
             raise ReproError(f"vm must be one of {_VMS}, got {self.vm!r}")
         if self.prescreen not in PRESCREEN_MODES:
             raise ReproError(
                 f"prescreen must be one of {tuple(PRESCREEN_MODES)}, "
                 f"got {self.prescreen!r}"
-            )
-        if self.drain is not None and self.drain not in _DRAINS:
-            raise ReproError(
-                f"drain must be one of {_DRAINS}, got {self.drain!r}"
             )
         if self.event_encoding is not None \
                 and self.event_encoding not in _ENCODINGS:
@@ -112,7 +134,7 @@ class RunOptions:
     # -- resolution (the logic formerly inlined in cli.py) -------------------
 
     def run_kwargs(self) -> Dict[str, object]:
-        """Translate budget/fault-plan/drain options into
+        """Translate budget/fault-plan/batching options into
         ``CompiledProgram.run()`` keyword arguments."""
         kwargs: Dict[str, object] = {}
         if self.budget:
@@ -125,21 +147,6 @@ class RunOptions:
             kwargs["batch_size"] = self.batch_size
         if self.event_encoding:
             kwargs["event_encoding"] = self.event_encoding
-        if self.pipeline_shards is not None:
-            kwargs["pipeline_shards"] = self.pipeline_shards
-        if self.drain:
-            kwargs["drain"] = self.drain
-            if self.drain in ("threads", "procs"):
-                encoding = kwargs.get("event_encoding")
-                if encoding is None:
-                    # threads/procs fold packed batches; imply the encoding
-                    # the same way --pipeline-shards examples document it.
-                    kwargs["event_encoding"] = "packed"
-                elif encoding != "packed":
-                    raise ReproError(
-                        f"--drain {self.drain} folds packed batches and "
-                        f"cannot combine with --event-encoding {encoding}"
-                    )
         return kwargs
 
     def carmot_options(self) -> Optional[CarmotOptions]:

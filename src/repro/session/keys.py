@@ -128,7 +128,7 @@ def profile_key(
     key — so two pipelines producing identical instrumented IR share one
     profile.  ``run_config`` carries everything that steers execution:
     entry/args, cost model, VM budgets, resilience policy, fault plan,
-    event encoding, batching, shards.
+    event encoding, batching.
     """
     return _digest("profile", {
         "ir": ir_digest,
@@ -181,7 +181,7 @@ def run_config_doc(
     """Canonical, JSON-able view of one ``CompiledProgram.run()`` call.
 
     ``config_kwargs`` are the ``RuntimeConfig`` overrides the CLI passes
-    (``event_encoding``, ``batch_size``, ``pipeline_shards``,
+    (``event_encoding``, ``batch_size``,
     ``resilience``, ``fault_plan``); dataclass values are flattened via
     ``asdict`` so two equal plans produce equal documents.  ``vm`` names
     the execution engine — both engines are held to identical profiles,

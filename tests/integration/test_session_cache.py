@@ -31,11 +31,10 @@ int work(int n) {
 int main() { print_int(work(40)); return 0; }
 """
 
-#: The three runtime event encodings the differential suite must cover.
+#: The runtime event encodings the differential suite must cover.
 ENCODINGS = {
     "object": {"event_encoding": "object"},
     "packed": {"event_encoding": "packed"},
-    "packed_sharded": {"event_encoding": "packed", "pipeline_shards": 2},
 }
 
 BUDGET = "steps=5000000,heap=1048576,depth=256,retries=2,degrade=1"

@@ -3,9 +3,8 @@
 The object event encoding is kept as the differential-testing oracle for
 the packed hot path: for the three golden example programs, for seeded
 random loop-shaped event streams (including heavily run-merged ones), and
-under fault plans and event budgets, the packed encoding — deterministic
-drain and sharded fold alike — must produce byte-identical PSEC output
-and identical degradation reports.
+under fault plans and event budgets, the packed encoding must produce
+byte-identical PSEC output and identical degradation reports.
 """
 
 import json
@@ -75,14 +74,11 @@ def _entry_state(runtime):
 def test_golden_examples_identical_across_encodings(name):
     source = _example_source(name)
     outputs = {}
-    for encoding, shards in (("object", 0), ("packed", 0), ("packed", 2)):
+    for encoding in ("object", "packed"):
         program = compile_carmot(source, name=f"examples/{name}.mc")
-        result, runtime = program.run(event_encoding=encoding,
-                                      pipeline_shards=shards)
-        outputs[(encoding, shards)] = (result.output,
-                                       _psec_json(program, runtime))
-    assert outputs[("object", 0)] == outputs[("packed", 0)]
-    assert outputs[("object", 0)] == outputs[("packed", 2)]
+        result, runtime = program.run(event_encoding=encoding)
+        outputs[encoding] = (result.output, _psec_json(program, runtime))
+    assert outputs["object"] == outputs["packed"]
 
 
 @pytest.mark.parametrize("shape", sorted(_STREAM_SHAPES))
@@ -92,8 +88,8 @@ def test_random_streams_identical_across_encodings(shape, seed):
     run merging; array_walk exercises the unmerged full path)."""
     ops, vars_by_obj, locs, callstacks = _make_stream(seed, 4000, shape)
     states = []
-    for encoding, shards in (("object", 0), ("packed", 0), ("packed", 3)):
-        runtime = _stream_runtime(encoding, batch_size=128, shards=shards)
+    for encoding in ("object", "packed"):
+        runtime = _stream_runtime(encoding, batch_size=128)
         resolved = _resolve_ops(
             ops, vars_by_obj, locs, callstacks,
             runtime if encoding == "packed" else None,
@@ -102,7 +98,6 @@ def test_random_streams_identical_across_encodings(shape, seed):
         replay(runtime, resolved, 250)
         states.append((_digest(runtime), _entry_state(runtime)))
     assert states[0] == states[1]
-    assert states[0] == states[2]
 
 
 def _run_example(name, encoding, **kwargs):

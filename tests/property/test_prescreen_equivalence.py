@@ -5,8 +5,8 @@ The prescreen contract (DESIGN.md §14) promises that a build with
 fully-dynamic build — the static verdicts are only admissible because
 they are indistinguishable from profiling.  This suite holds the hybrid
 build to that promise across the golden examples, seeded random ROI
-programs, both execution engines, every packed-batch drain, and fault
-plans whose retries force exact replay.
+programs, both execution engines, both event encodings, and fault plans
+whose retries force exact replay.
 """
 
 import tempfile
@@ -99,14 +99,13 @@ def test_random_roi_programs_across_engines(seed):
     assert states["ir"] == states["bytecode"]
 
 
-# -- drains -------------------------------------------------------------------
+# -- packed encoding ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("drain", ["inproc", "threads", "procs"])
 @pytest.mark.parametrize("mode", MODES)
-def test_drains_sets_identical(drain, mode):
+def test_packed_sets_identical(mode):
     source = _example_source("roi_loop")
-    kwargs = dict(event_encoding="packed", pipeline_shards=2, drain=drain)
+    kwargs = dict(event_encoding="packed")
     _, off_res, off_rt = _profile(source, "roi_loop", **kwargs)
     _, hyb_res, hyb_rt = _profile(source, "roi_loop", mode, **kwargs)
     assert _state(off_res, off_rt) == _state(hyb_res, hyb_rt)

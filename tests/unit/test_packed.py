@@ -1,13 +1,10 @@
 """Units for the packed event encoding: block/intern-table containers and
 the capture-side run merging of repeated identical accesses."""
 
-import pytest
-
 from repro.ir.instructions import SourceLoc, VarInfo
 from repro.ir.module import Module
 from repro.lang import types as ct
 from repro.lang.tokens import SourcePos
-from repro.parallel.shards import ShardPool
 from repro.resilience import ResiliencePolicy
 from repro.runtime.config import RuntimeConfig, policy_for
 from repro.runtime.engine import CarmotRuntime
@@ -61,71 +58,6 @@ class TestContainers:
         block.events = 5
         assert len(block) == 5
         assert block.row(0) == tuple(range(ROW_STRIDE))
-
-
-class TestShardPool:
-    def test_stale_completion_token_does_not_poison_next_run(self):
-        # Regression: a completion token left in _done by an abandoned run
-        # used to satisfy the *next* run's wait, letting it return before
-        # its own tasks finished.  Tokens are generation-tagged now.
-        pool = ShardPool(2)
-        try:
-            pool._done.put((0, 0, None))  # stale token, older generation
-            ran = []
-            pool.run([lambda: ran.append(0), lambda: ran.append(1)])
-            assert sorted(ran) == [0, 1]
-        finally:
-            pool.close()
-
-    def test_mid_wait_stale_token_discarded(self):
-        # A stale token arriving while run() is already collecting must be
-        # skipped, not counted toward this run's completions.
-        pool = ShardPool(2)
-        try:
-            ran = []
-
-            def thunk0():
-                pool._done.put((pool._generation - 1, 0, None))
-                ran.append(0)
-
-            pool.run([thunk0, lambda: ran.append(1)])
-            assert sorted(ran) == [0, 1]
-            assert pool._done.empty()
-        finally:
-            pool.close()
-
-    def test_lowest_indexed_failure_wins(self):
-        pool = ShardPool(3)
-        try:
-            def raiser(tag):
-                def thunk():
-                    raise ValueError(tag)
-                return thunk
-
-            with pytest.raises(ValueError, match="shard-1"):
-                pool.run([lambda: None, raiser("shard-1"), raiser("shard-2")])
-        finally:
-            pool.close()
-
-    def test_close_is_idempotent(self):
-        pool = ShardPool(2)
-        pool.run([lambda: None, lambda: None])
-        pool.close()
-        pool.close()  # second close must be a no-op, not a hang
-        with pytest.raises(RuntimeError, match="closed ShardPool"):
-            pool.run([lambda: None])
-
-    def test_close_drains_leftover_tokens(self):
-        pool = ShardPool(1)
-
-        def fails():
-            raise ValueError("x")
-
-        with pytest.raises(ValueError):
-            pool.run([fails])
-        pool._done.put((pool._generation, 0, None))  # simulate a late token
-        pool.close()
-        assert pool._done.empty()
 
 
 class TestRunMerging:

@@ -81,18 +81,7 @@ class TestFaultPlanParsing:
         assert persistent.persist
 
     def test_render_round_trip(self):
-        text = "seed=7;crash@2;drop@3;slow@4:100"
-        assert FaultPlan.parse(FaultPlan.parse(text).render()) == \
-            FaultPlan.parse(text)
-
-    def test_parse_worker_exit(self):
-        plan = FaultPlan.parse("seed=3;exit@1;exit@4!")
-        kinds = {(s.kind, s.seq, s.persist) for s in plan.specs}
-        assert (FaultKind.WORKER_EXIT, 1, False) in kinds
-        assert (FaultKind.WORKER_EXIT, 4, True) in kinds
-
-    def test_worker_exit_render_round_trip(self):
-        text = "seed=3;exit@1;exit@4!"
+        text = "seed=7;crash@2;drop@3;slow@4:100;crash@5!"
         assert FaultPlan.parse(FaultPlan.parse(text).render()) == \
             FaultPlan.parse(text)
 
@@ -101,10 +90,13 @@ class TestFaultPlanParsing:
             FaultPlan.parse("explode@3")
 
     def test_unknown_kind_error_lists_valid_kinds(self):
-        with pytest.raises(RuntimeToolError, match="exit"):
-            FaultPlan.parse("explode@3")
         with pytest.raises(RuntimeToolError, match="crash"):
             FaultPlan.parse("explode@3")
+        # A removed kind fails loudly and the message lists what remains.
+        with pytest.raises(RuntimeToolError) as info:
+            FaultPlan.parse("seed=1;exit@1")
+        assert "unknown fault kind 'exit'" in str(info.value)
+        assert "['crash', 'drop', 'mempressure', 'slow']" in str(info.value)
 
     def test_malformed_spec_rejected(self):
         with pytest.raises(RuntimeToolError, match="bad fault spec"):
@@ -133,17 +125,11 @@ class TestBudgetSpecParsing:
         assert spec.runtime.degrade
         assert spec.runtime.max_events_per_roi == 20_000
 
-    def test_parse_worker_supervision_keys(self):
-        spec = parse_budget_spec("heartbeat=5,worker-deadline=2000")
-        assert spec.runtime.heartbeat_ms == 5
-        assert spec.runtime.worker_deadline_ms == 2000
-        # The underscore spelling is accepted too.
-        spec = parse_budget_spec("worker_deadline=750")
-        assert spec.runtime.worker_deadline_ms == 750
-
     def test_unknown_key_rejected(self):
-        with pytest.raises(RuntimeToolError, match="unknown budget key"):
-            parse_budget_spec("fuel=9")
+        # Removed keys must be rejected, never silently ignored.
+        for spec in ("fuel=9", "heartbeat=5", "worker-deadline=5"):
+            with pytest.raises(RuntimeToolError, match="unknown budget key"):
+                parse_budget_spec(spec)
 
     def test_negative_value_rejected(self):
         with pytest.raises(RuntimeToolError):
@@ -526,3 +512,10 @@ class TestCliResilience:
         code = main(["recommend", source_file, "--budget", "steps=100"])
         assert code == 1
         assert "instruction budget" in capsys.readouterr().err
+
+    def test_removed_drain_flag_is_usage_error(self, source_file, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as info:
+            main(["psec", source_file, "--drain", "procs"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --drain" in capsys.readouterr().err

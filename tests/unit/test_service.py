@@ -68,24 +68,28 @@ class TestRunOptions:
         assert RunOptions.from_doc(doc) == options
 
     def test_unknown_option_rejected(self):
-        with pytest.raises(ReproError, match="unknown run option"):
-            RunOptions.from_doc({"warp_speed": 9})
+        # Removed options must be rejected, never silently ignored.
+        for doc in ({"warp_speed": 9}, {"drain": "procs"},
+                    {"pipeline_shards": 2}):
+            with pytest.raises(ReproError, match="unknown run option"):
+                RunOptions.from_doc(doc)
 
     @pytest.mark.parametrize("kwargs", [
         {"vm": "jit"},
         {"prescreen": "yes"},
-        {"drain": "boats"},
+        {"abstraction": "nope"},
         {"event_encoding": "protobuf"},
+        {"batch_size": "x"},
+        {"batch_size": True},
+        {"batch_size": 0},
+        {"budget": 7},
+        {"entry": None},
+        {"no_cache": "yes"},
+        {"trace": 1},
     ])
     def test_bad_enum_values_rejected(self, kwargs):
         with pytest.raises(ReproError):
             RunOptions(**kwargs)
-
-    def test_drain_implies_packed_encoding(self):
-        kwargs = RunOptions(drain="threads").run_kwargs()
-        assert kwargs["event_encoding"] == "packed"
-        with pytest.raises(ReproError, match="cannot combine"):
-            RunOptions(drain="procs", event_encoding="object").run_kwargs()
 
     def test_uninstrumented_pipeline_rejected(self):
         with pytest.raises(ReproError, match="no instrumenter"):
@@ -172,6 +176,23 @@ class TestServiceCore:
         doc = core.execute_doc({"kind": "nope", "source": "s"})
         assert doc["ok"] is False
         assert "unknown request kind" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("options", [
+        {"batch_size": "x"},
+        {"budget": 7},
+        {"abstraction": "nope"},
+        {"batch_size": True},
+        {"no_cache": "yes"},
+        {"drain": "procs"},
+        {"pipeline_shards": 2},
+    ])
+    def test_execute_doc_rejects_malformed_options(self, tmp_path, options):
+        core = ServiceCore(cache_dir=str(tmp_path / "cache"))
+        doc = core.execute_doc({"kind": "psec", "source": ROI_SOURCE,
+                                "options": options})
+        assert doc["ok"] is False
+        assert doc["error"]["type"] == "error"
+        assert doc["body"] is None
 
     def test_namespaced_cores_do_not_share_cache(self, tmp_path):
         cache = str(tmp_path / "cache")
